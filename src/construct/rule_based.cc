@@ -31,40 +31,24 @@ Graph KnnGraph(const Matrix& x, const KnnGraphOptions& options) {
   const size_t k = std::min(options.k, n > 0 ? n - 1 : 0);
 
   // Top-k neighbor lists.
-  std::vector<std::vector<size_t>> nbrs(n);
-  std::vector<std::vector<double>> sims(n);
-  std::vector<std::pair<double, size_t>> scored;
+  std::vector<std::vector<KnnHit>> nbrs(n);
   for (size_t i = 0; i < n; ++i) {
-    scored.clear();
-    scored.reserve(n - 1);
-    for (size_t j = 0; j < n; ++j) {
-      if (j == i) continue;
-      scored.push_back({RowSimilarity(x, i, j, options.metric, options.gamma),
-                        j});
-    }
-    size_t take = std::min(k, scored.size());
-    std::partial_sort(scored.begin(),
-                      scored.begin() + static_cast<ptrdiff_t>(take),
-                      scored.end(), [](const auto& a, const auto& b) {
-                        return a.first > b.first;
-                      });
-    for (size_t t = 0; t < take; ++t) {
-      nbrs[i].push_back(scored[t].second);
-      sims[i].push_back(scored[t].first);
-    }
+    nbrs[i] = TopKSimilar(x, x.row_data(i), k, options.metric, options.gamma,
+                          /*exclude=*/i);
   }
 
   std::vector<Edge> edges;
   for (size_t i = 0; i < n; ++i) {
-    for (size_t t = 0; t < nbrs[i].size(); ++t) {
-      size_t j = nbrs[i][t];
+    for (const KnnHit& hit : nbrs[i]) {
+      const size_t j = hit.index;
       if (options.mutual) {
-        if (std::find(nbrs[j].begin(), nbrs[j].end(), i) == nbrs[j].end())
+        if (std::none_of(nbrs[j].begin(), nbrs[j].end(),
+                         [i](const KnnHit& h) { return h.index == i; }))
           continue;
         if (j < i) continue;  // mutual pairs added once, then symmetrized
       }
       double w = options.weighted
-                     ? WeightFromSimilarity(sims[i][t], options.metric)
+                     ? WeightFromSimilarity(hit.similarity, options.metric)
                      : 1.0;
       edges.push_back({i, j, w});
     }

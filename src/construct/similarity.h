@@ -1,6 +1,10 @@
 #pragma once
 
+#include <cmath>
+#include <cstddef>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "tensor/matrix.h"
@@ -25,10 +29,46 @@ const char* SimilarityMetricName(SimilarityMetric m);
 /// / "heat" aliases for rbf). Unknown names are InvalidArgument.
 StatusOr<SimilarityMetric> SimilarityMetricFromName(const std::string& name);
 
-/// Similarity between rows `a` and `b` of `x`. `gamma` is the RBF bandwidth
-/// (ignored by other metrics).
+/// Similarity between the length-`d` vectors `a` and `b`. `gamma` is the RBF
+/// bandwidth (ignored by other metrics). The one definition of the
+/// arithmetic: every neighbour ranking in the library calls it with the
+/// query as `a`.
+double Similarity(const double* a, const double* b, size_t d,
+                  SimilarityMetric m, double gamma = 1.0);
+
+/// Similarity between rows `a` and `b` of `x` (bounds-checked Similarity).
 double RowSimilarity(const Matrix& x, size_t a, size_t b, SimilarityMetric m,
                      double gamma = 1.0);
+
+/// A ranked neighbour: reference row index and its similarity to the query.
+struct KnnHit {
+  size_t index;
+  double similarity;
+};
+
+/// The neighbour order: similarity descending, lower index first on exact
+/// ties, and every NaN similarity after every number (NaN ties again by
+/// index). A total order, so std::partial_sort always gets a strict weak
+/// ordering, whatever the inputs.
+inline bool BetterHit(const KnnHit& a, const KnnHit& b) {
+  if (a.similarity > b.similarity) return true;
+  if (a.similarity < b.similarity) return false;
+  const bool a_nan = std::isnan(a.similarity);
+  const bool b_nan = std::isnan(b.similarity);
+  if (a_nan != b_nan) return b_nan;
+  return a.index < b.index;
+}
+
+/// Row id meaning "exclude nothing" for TopKSimilar.
+inline constexpr size_t kNoRow = std::numeric_limits<size_t>::max();
+
+/// Exact top-k: the min(k, candidates) rows of `reference` most similar to
+/// `query` (length reference.cols()), best first under BetterHit. Row
+/// `exclude` is never a candidate (KnnGraph's self-skip). Graph construction,
+/// inductive prediction and the serving index all rank neighbours here.
+std::vector<KnnHit> TopKSimilar(const Matrix& reference, const double* query,
+                                size_t k, SimilarityMetric m, double gamma,
+                                size_t exclude = kNoRow);
 
 /// Dense n x n similarity matrix over the rows of `x` (diagonal = self
 /// similarity). Quadratic; intended for rule-based construction on

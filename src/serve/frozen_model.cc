@@ -239,32 +239,18 @@ StatusOr<FrozenModel> FrozenModel::Load(std::istream& in,
       std::move(x_cache)));
   GNN4TDL_RETURN_IF_ERROR(frozen.model_->LoadTrainedParameters(in));
 
-  StatusOr<KnnIndex> index =
-      KnnIndex::Build(frozen.model_->feature_cache(), o.knn.metric,
-                      o.knn.gamma, options.index);
+  StatusOr<KnnIndex> index = KnnIndex::Build(frozen.model_->feature_cache(),
+                                             o.knn.metric, o.knn.gamma);
   if (!index.ok()) return index.status();
   frozen.index_ = std::make_unique<KnnIndex>(std::move(*index));
-
-  // Optional serving-side views over the exact index: row-range sharding
-  // and/or a read-through neighbor cache. Both are bit-exact vs the plain
-  // index, so they can be toggled per deployment without revalidation.
-  const NeighborSource* attach_source = frozen.index_.get();
-  if (options.index_shards > 1 || options.neighbor_cache_capacity > 0) {
-    ShardedKnnIndexOptions shard_opts;
-    shard_opts.num_shards = std::max<size_t>(options.index_shards, 1);
-    shard_opts.cache_capacity = options.neighbor_cache_capacity;
-    frozen.sharded_ =
-        std::make_unique<ShardedKnnIndex>(frozen.index_.get(), shard_opts);
-    attach_source = frozen.sharded_.get();
-  }
 
   InductiveAttacherOptions attach;
   attach.k = std::max<size_t>(o.knn.k, 1);
   attach.hops = EffectiveHops(o);
   attach.full_neighborhood = NeedsFullNeighborhood(o);
   frozen.attacher_ = std::make_unique<InductiveAttacher>(
-      &frozen.model_->graph(), &frozen.model_->feature_cache(), attach_source,
-      attach);
+      &frozen.model_->graph(), &frozen.model_->feature_cache(),
+      frozen.index_.get(), attach);
 
   // Precision selection: load-time override beats the artifact's record; f32
   // degrades to f64 for backbones the f32 tier does not mirror — loudly:

@@ -1,4 +1,7 @@
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -74,6 +77,38 @@ TEST(KnnGraphTest, ConnectsNearestNeighbors) {
   EXPECT_TRUE(g.HasEdge(2, 3));
   EXPECT_FALSE(g.HasEdge(0, 2));
   EXPECT_TRUE(g.IsSymmetric());
+}
+
+TEST(KnnGraphTest, TiesAtRankKGoToTheLowerIndex) {
+  // One column of repeated values: at k=9 most rows' neighbour lists end
+  // inside a run of tied distances. The oracle ranks each row's candidates
+  // by one full sort (distance ascending, then index ascending) and takes
+  // the symmetric union; KnnGraph must produce exactly that edge set.
+  const std::vector<double> values = {2, 1, 1, 1, 2, 1, 1, 0, 2, 0,
+                                      3, 1, 0, 1, 1, 3, 0, 1, 3};
+  const size_t n = values.size();
+  const size_t k = 9;
+  Matrix x(n, 1);
+  for (size_t i = 0; i < n; ++i) x(i, 0) = values[i];
+  Graph g = KnnGraph(x, {.k = k});
+
+  std::vector<std::vector<bool>> want(n, std::vector<bool>(n, false));
+  for (size_t i = 0; i < n; ++i) {
+    std::vector<std::pair<double, size_t>> order;
+    for (size_t j = 0; j < n; ++j) {
+      if (j != i) order.push_back({std::fabs(values[i] - values[j]), j});
+    }
+    std::sort(order.begin(), order.end());
+    for (size_t t = 0; t < k; ++t) {
+      want[i][order[t].second] = true;
+      want[order[t].second][i] = true;
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      EXPECT_EQ(g.HasEdge(i, j), want[i][j]) << "edge " << i << "-" << j;
+    }
+  }
 }
 
 TEST(KnnGraphTest, DegreeBoundedByUnionOfK) {

@@ -53,6 +53,18 @@ class FusionOff {
   ~FusionOff() { fused::SetFusionEnabled(true); }
 };
 
+/// Turns metrics on for one scope and restores the previous state after.
+class MetricsOn {
+ public:
+  MetricsOn() : was_enabled_(obs::MetricsEnabled()) { obs::EnableMetrics(); }
+  ~MetricsOn() {
+    if (!was_enabled_) obs::DisableMetrics();
+  }
+
+ private:
+  bool was_enabled_;
+};
+
 constexpr Activation kActs[] = {Activation::kNone, Activation::kRelu,
                                 Activation::kLeakyRelu, Activation::kSigmoid,
                                 Activation::kTanh};
@@ -168,7 +180,7 @@ TEST(FusionTest, FusedTapePassesVerifier) {
 }
 
 TEST(FusionTest, HitAndBailCountersTrack) {
-  if (!obs::MetricsEnabled()) GTEST_SKIP() << "metrics disabled";
+  MetricsOn metrics;
   Rng rng(38);
   auto& registry = obs::MetricsRegistry::Global();
   Tensor a = Tensor::Leaf(RandomMatrix(3, 3, rng), true);

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <future>
 #include <sstream>
@@ -33,35 +35,41 @@ Matrix RandomFeatures(size_t n, size_t d, uint64_t seed) {
   return Matrix::Randn(n, d, rng);
 }
 
+/// Oracle: every reference row scored, then one full sort under (similarity
+/// descending, index ascending).
 std::vector<size_t> BruteForceKnn(const Matrix& reference, const double* query,
                                   size_t k, SimilarityMetric metric,
                                   double gamma) {
-  // The PredictInductive idiom: similarity via a 2-row stacked matrix.
-  Matrix stacked(2, reference.cols());
   std::vector<std::pair<double, size_t>> scored;
   for (size_t j = 0; j < reference.rows(); ++j) {
-    std::copy(query, query + reference.cols(), stacked.row_data(0));
-    std::copy(reference.row_data(j), reference.row_data(j) + reference.cols(),
-              stacked.row_data(1));
-    scored.push_back({RowSimilarity(stacked, 0, 1, metric, gamma), j});
+    scored.push_back({Similarity(query, reference.row_data(j),
+                                 reference.cols(), metric, gamma),
+                      j});
   }
-  std::partial_sort(scored.begin(), scored.begin() + static_cast<ptrdiff_t>(k),
-                    scored.end(),
-                    [](const auto& a, const auto& b) { return a.first > b.first; });
+  std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first > b.first;
+    return a.second < b.second;
+  });
   std::vector<size_t> ids;
   for (size_t t = 0; t < k; ++t) ids.push_back(scored[t].second);
   return ids;
 }
 
 TEST(KnnIndexTest, ExactModeMatchesBruteForce) {
+  // Rows 40..79 repeat rows 0..39, so every similarity comes in a tied pair
+  // and an odd k always splits one pair at rank k.
   Matrix reference = RandomFeatures(80, 6, 5);
-  Matrix queries = RandomFeatures(10, 6, 9);
+  for (size_t r = 40; r < 80; ++r) {
+    std::copy(reference.row_data(r - 40), reference.row_data(r - 40) + 6,
+              reference.row_data(r));
+  }
+  Matrix queries = RandomFeatures(10, 6, 9).ConcatRows(
+      reference.GatherRows({3, 45, 77}));
   for (SimilarityMetric metric :
        {SimilarityMetric::kEuclidean, SimilarityMetric::kCosine,
         SimilarityMetric::kRbf}) {
     StatusOr<KnnIndex> index = KnnIndex::Build(reference, metric, 0.5);
     ASSERT_TRUE(index.ok()) << index.status().ToString();
-    EXPECT_TRUE(index->exact());
     for (size_t q = 0; q < queries.rows(); ++q) {
       std::vector<KnnHit> hits = index->Query(queries.row_data(q), 7);
       std::vector<size_t> expected =
@@ -88,37 +96,43 @@ TEST(KnnIndexTest, QueryOrdersBestFirstAndClampsK) {
     EXPECT_GE(hits[t - 1].similarity, hits[t].similarity);
 }
 
-TEST(KnnIndexTest, ClusteredModeHasUsefulRecall) {
-  Matrix reference = RandomFeatures(300, 8, 21);
-  StatusOr<KnnIndex> exact =
+TEST(KnnIndexTest, NanQueryRanksByIndex) {
+  // Every euclidean similarity to a NaN query is NaN: all rows tie, so the
+  // k hits are the k lowest indices in order.
+  Matrix reference = RandomFeatures(30, 4, 13);
+  StatusOr<KnnIndex> index =
       KnnIndex::Build(reference, SimilarityMetric::kEuclidean);
-  ASSERT_TRUE(exact.ok());
-  KnnIndexOptions opts;
-  opts.num_clusters = 10;
-  opts.num_probes = 3;
-  StatusOr<KnnIndex> clustered =
-      KnnIndex::Build(reference, SimilarityMetric::kEuclidean, 1.0, opts);
-  ASSERT_TRUE(clustered.ok());
-  EXPECT_FALSE(clustered->exact());
+  ASSERT_TRUE(index.ok());
+  std::vector<double> query(4, 0.0);
+  query[2] = std::nan("");
+  std::vector<KnnHit> hits = index->Query(query.data(), 6);
+  ASSERT_EQ(hits.size(), 6u);
+  for (size_t t = 0; t < hits.size(); ++t) {
+    EXPECT_EQ(hits[t].index, t);
+    EXPECT_TRUE(std::isnan(hits[t].similarity));
+  }
+}
 
-  Matrix queries = RandomFeatures(20, 8, 33);
-  size_t found = 0, total = 0;
-  for (size_t q = 0; q < queries.rows(); ++q) {
-    std::vector<KnnHit> truth = exact->Query(queries.row_data(q), 10);
-    std::vector<KnnHit> approx = clustered->Query(queries.row_data(q), 10);
-    EXPECT_EQ(approx.size(), 10u);
-    for (const KnnHit& t : truth) {
-      ++total;
-      for (const KnnHit& a : approx) {
-        if (a.index == t.index) {
-          ++found;
-          break;
-        }
-      }
+TEST(KnnIndexTest, NanReferenceRowRanksAfterEveryFiniteRow) {
+  // Row 0 equals the query except for one NaN; without the NaN it would be
+  // the best match. It must come last, after all finite rows.
+  Matrix reference = RandomFeatures(12, 3, 17);
+  std::vector<double> query(reference.row_data(0), reference.row_data(0) + 3);
+  reference(0, 1) = std::nan("");
+  StatusOr<KnnIndex> index =
+      KnnIndex::Build(reference, SimilarityMetric::kEuclidean);
+  ASSERT_TRUE(index.ok());
+  std::vector<KnnHit> hits = index->Query(query.data(), reference.rows());
+  ASSERT_EQ(hits.size(), reference.rows());
+  EXPECT_EQ(hits.back().index, 0u);
+  for (size_t t = 0; t + 1 < hits.size(); ++t) {
+    EXPECT_FALSE(std::isnan(hits[t].similarity)) << "rank " << t;
+  }
+  for (size_t k = 1; k < reference.rows(); ++k) {
+    for (const KnnHit& hit : index->Query(query.data(), k)) {
+      EXPECT_NE(hit.index, 0u) << "k " << k;
     }
   }
-  // Probing 3/10 clusters should recover well over half the true neighbors.
-  EXPECT_GT(static_cast<double>(found) / static_cast<double>(total), 0.5);
 }
 
 TEST(KnnIndexTest, RejectsEmptyReference) {
@@ -231,6 +245,45 @@ TEST_F(ServeModelTest, FrozenScoresBitExactWithPredictInductiveGin) {
   StatusOr<Matrix> served = frozen->Score(fresh);
   ASSERT_TRUE(served.ok()) << served.status().ToString();
   EXPECT_TRUE(served->AllClose(*reference, 0.0));
+}
+
+TEST_F(ServeModelTest, FrozenScoresBitExactWithPredictInductiveOnTies) {
+  // One column of repeated values: the query 0.0 has four exact matches and
+  // nine rows tied at the next distance, so k=9 splits that tie. Serving and
+  // PredictInductive must break it the same way (lower row index wins).
+  const std::vector<double> values = {2, 1, 1, 1, 2, 1, 1, 0, 2, 0,
+                                      3, 1, 0, 1, 1, 3, 0, 1, 3};
+  TabularDataset data(values.size());
+  ASSERT_TRUE(data.AddNumericColumn("v", values).ok());
+  std::vector<int> labels;
+  for (size_t i = 0; i < values.size(); ++i)
+    labels.push_back(static_cast<int>(i % 2));
+  ASSERT_TRUE(
+      data.SetClassLabels(labels, 2, TaskType::kBinaryClassification).ok());
+
+  InstanceGraphGnnOptions options = Options(GnnBackbone::kGcn);
+  options.knn.k = 9;
+  InstanceGraphGnn model(options);
+  ASSERT_TRUE(model.Fit(data, TrainSplit(data)).ok());
+
+  TabularDataset query(1);
+  ASSERT_TRUE(query.AddNumericColumn("v", {0.0}).ok());
+  StatusOr<Matrix> reference = model.PredictInductive(query);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+
+  std::stringstream artifact;
+  ASSERT_TRUE(FrozenModel::Save(model, artifact).ok());
+  StatusOr<FrozenModel> frozen = FrozenModel::Load(artifact);
+  ASSERT_TRUE(frozen.ok()) << frozen.status().ToString();
+  ASSERT_EQ(frozen->precision(), kernels::Precision::kF64);
+  StatusOr<Matrix> x = frozen->Featurize(query);
+  ASSERT_TRUE(x.ok()) << x.status().ToString();
+  StatusOr<Matrix> served = frozen->ScoreFeatures(*x);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ASSERT_EQ(served->cols(), reference->cols());
+  for (size_t c = 0; c < reference->cols(); ++c) {
+    EXPECT_EQ((*served)(0, c), (*reference)(0, c)) << "logit " << c;
+  }
 }
 
 TEST_F(ServeModelTest, SingleRowScoringIsDeterministic) {
