@@ -6,7 +6,8 @@
 //
 // Besides the google-benchmark complexity suite, the binary runs a thread
 // sweep (1/2/4/8 lanes) over the parallel hot-path kernels — dense matmul,
-// CSR SpMM, SpMM-transpose, edge softmax — and writes BENCH_parallel.json
+// CSR SpMM, SpMM-transpose, edge softmax, kNN graph construction — and
+// writes BENCH_parallel.json
 // with wall-clock AND process-CPU time per point, plus the max deviation of
 // each multithreaded result from the threads=1 run (0 for the write-disjoint
 // kernels, ~1e-15 relative for the tree-reduced ones). num_cores in the
@@ -131,6 +132,7 @@ struct KernelSweep {
 };
 
 double MaxAbsDev(const Matrix& a, const Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return HUGE_VAL;
   double dev = 0.0;
   for (size_t i = 0; i < a.size(); ++i)
     dev = std::max(dev, std::fabs(a.data()[i] - b.data()[i]));
@@ -246,6 +248,24 @@ void RunParallelSweep() {
   sweeps.push_back(SweepKernel("edge_softmax_200k", thread_counts, reps, [&] {
     return SegmentSoftmax(logits, seg, n);
   }));
+  // kNN graph construction on the benchmark's training-table shape (10k rows,
+  // 12 features, k = 10), weighted so the weights differ. The result is the
+  // edge list as (src, dst, weight) rows, so its deviation is 0 only when
+  // every edge and weight matches the threads=1 graph.
+  Matrix rows = Features(10000, 12);
+  auto knn_edges = [&] {
+    std::vector<Edge> edges =
+        KnnGraph(rows, {.k = 10, .weighted = true}).EdgeList();
+    Matrix out(edges.size(), 3);
+    for (size_t e = 0; e < edges.size(); ++e) {
+      out(e, 0) = static_cast<double>(edges[e].src);
+      out(e, 1) = static_cast<double>(edges[e].dst);
+      out(e, 2) = edges[e].weight;
+    }
+    return out;
+  };
+  sweeps.push_back(
+      SweepKernel("knn_graph_10k_k10_d12", thread_counts, reps, knn_edges));
   ThreadPool::Global().SetNumThreads(ThreadCountFromEnv());
 
   // One extra counted call per kernel, after the timed sweep, so the JSON

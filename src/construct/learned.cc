@@ -12,13 +12,13 @@ CandidateEdges KnnCandidates(const Matrix& x, size_t k,
                              SimilarityMetric metric) {
   const size_t n = x.rows();
   CandidateEdges out;
+  const std::vector<std::vector<KnnHit>> nbrs =
+      TopKSimilarPerRow(x, k, metric, /*gamma=*/1.0);
   // Collect the symmetric union of directed kNN edges.
   std::vector<std::pair<size_t, size_t>> pairs;
   for (size_t i = 0; i < n; ++i) {
-    for (const KnnHit& hit : TopKSimilar(x, x.row_data(i), k, metric,
-                                         /*gamma=*/1.0, /*exclude=*/i)) {
+    for (const KnnHit& hit : nbrs[i])
       pairs.push_back({std::min(i, hit.index), std::max(i, hit.index)});
-    }
   }
   std::sort(pairs.begin(), pairs.end());
   pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <set>
+#include <tuple>
 
 #include "common/rng.h"
+#include "obs/trace.h"
 
 namespace gnn4tdl {
 
@@ -28,15 +29,14 @@ double WeightFromSimilarity(double sim, SimilarityMetric metric) {
 Graph KnnGraph(const Matrix& x, const KnnGraphOptions& options) {
   const size_t n = x.rows();
   GNN4TDL_CHECK_GT(options.k, 0u);
+  obs::TraceSpan span("construct/knn_graph");
+  span.AddItems(static_cast<double>(n));
   const size_t k = std::min(options.k, n > 0 ? n - 1 : 0);
 
-  // Top-k neighbor lists.
-  std::vector<std::vector<KnnHit>> nbrs(n);
-  for (size_t i = 0; i < n; ++i) {
-    nbrs[i] = TopKSimilar(x, x.row_data(i), k, options.metric, options.gamma,
-                          /*exclude=*/i);
-  }
+  const std::vector<std::vector<KnnHit>> nbrs =
+      TopKSimilarPerRow(x, k, options.metric, options.gamma);
 
+  // Each selected pair once as (min, max), in row order.
   std::vector<Edge> edges;
   for (size_t i = 0; i < n; ++i) {
     for (const KnnHit& hit : nbrs[i]) {
@@ -50,22 +50,26 @@ Graph KnnGraph(const Matrix& x, const KnnGraphOptions& options) {
       double w = options.weighted
                      ? WeightFromSimilarity(hit.similarity, options.metric)
                      : 1.0;
-      edges.push_back({i, j, w});
+      edges.push_back({std::min(i, j), std::max(i, j), w});
     }
   }
-  // Symmetrize; duplicate-summing in FromTriplets may double weights where
-  // both directions were selected, so rebuild with max-normalization: use the
-  // union by inserting each undirected pair once.
-  std::map<std::pair<size_t, size_t>, double> undirected;
-  for (const Edge& e : edges) {
-    auto key = std::minmax(e.src, e.dst);
-    auto [it, inserted] = undirected.emplace(key, e.weight);
-    if (!inserted) it->second = std::max(it->second, e.weight);
-  }
+  // A pair both rows selected would sum to double weight in FromEdges, so
+  // keep it once with the larger weight. The stable sort leaves equal pairs
+  // in row order, so the max folds left to right.
+  std::stable_sort(edges.begin(), edges.end(),
+                   [](const Edge& a, const Edge& b) {
+                     return std::tie(a.src, a.dst) < std::tie(b.src, b.dst);
+                   });
   std::vector<Edge> unique_edges;
-  unique_edges.reserve(undirected.size());
-  for (const auto& [key, w] : undirected)
-    unique_edges.push_back({key.first, key.second, w});
+  unique_edges.reserve(edges.size());
+  for (const Edge& e : edges) {
+    Edge* last = unique_edges.empty() ? nullptr : &unique_edges.back();
+    if (last != nullptr && last->src == e.src && last->dst == e.dst) {
+      last->weight = std::max(last->weight, e.weight);
+    } else {
+      unique_edges.push_back(e);
+    }
+  }
   return Graph::FromEdges(n, unique_edges, /*symmetrize=*/true);
 }
 

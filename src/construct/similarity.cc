@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "common/parallel.h"
 
 namespace gnn4tdl {
 
@@ -126,6 +127,23 @@ std::vector<KnnHit> TopKSimilar(const Matrix& reference, const double* query,
   // A right-sized copy: callers such as KnnGraph keep one list per row.
   return std::vector<KnnHit>(hits.begin(),
                              hits.begin() + static_cast<ptrdiff_t>(take));
+}
+
+std::vector<std::vector<KnnHit>> TopKSimilarPerRow(const Matrix& x, size_t k,
+                                                   SimilarityMetric m,
+                                                   double gamma) {
+  const size_t n = x.rows();
+  // One query row scans n rows of x.cols() cells; a chunk gets about 64k
+  // cells (the row grain of nn/ops.cc), so small tables stay on one chunk.
+  constexpr size_t kCellGrain = 65536;
+  const size_t grain =
+      std::max<size_t>(1, kCellGrain / std::max<size_t>(n * x.cols(), 1));
+  std::vector<std::vector<KnnHit>> lists(n);
+  ParallelFor(0, n, grain, [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i)
+      lists[i] = TopKSimilar(x, x.row_data(i), k, m, gamma, /*exclude=*/i);
+  });
+  return lists;
 }
 
 Matrix PairwiseSimilarity(const Matrix& x, SimilarityMetric m, double gamma) {

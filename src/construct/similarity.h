@@ -70,6 +70,17 @@ std::vector<KnnHit> TopKSimilar(const Matrix& reference, const double* query,
                                 size_t k, SimilarityMetric m, double gamma,
                                 size_t exclude = kNoRow);
 
+/// The k nearest other rows of every row of `x`: entry i is
+/// TopKSimilar(x, x.row_data(i), k, m, gamma, /*exclude=*/i). Query rows are
+/// split across ThreadPool::Global() and each row's list is written only by
+/// the chunk that owns the row, so the result is bit-identical at every
+/// thread count. Tables too small to split run inline. Like every
+/// ParallelFor caller it must not be called from inside a parallel body.
+/// KnnGraph and KnnCandidates build their graphs from it.
+std::vector<std::vector<KnnHit>> TopKSimilarPerRow(const Matrix& x, size_t k,
+                                                   SimilarityMetric m,
+                                                   double gamma);
+
 /// Dense n x n similarity matrix over the rows of `x` (diagonal = self
 /// similarity). Quadratic; intended for rule-based construction on
 /// laptop-scale data.

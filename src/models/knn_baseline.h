@@ -17,8 +17,9 @@ struct KnnBaselineOptions {
 };
 
 /// kNN classifier / regressor: majority vote (or mean target) over the k most
-/// similar *labeled training* rows. The simplest instance-correlation
-/// exploiter — the non-learned counterpart of instance-graph GNNs.
+/// similar *labeled training* rows, ranked by TopKSimilar (tied training rows
+/// go to the lower index). The simplest instance-correlation exploiter — the
+/// non-learned counterpart of instance-graph GNNs.
 class KnnBaseline : public TabularModel {
  public:
   explicit KnnBaseline(KnnBaselineOptions options = {});
@@ -37,8 +38,8 @@ class KnnBaseline : public TabularModel {
   int num_classes_ = 0;
 };
 
-/// kNN-distance anomaly detector: score = mean distance to the k nearest
-/// other rows (unsupervised; labels are ignored). The classical baseline
+/// kNN-distance anomaly detector: score = mean Euclidean distance to the k
+/// nearest other rows (unsupervised; labels are ignored). The classical baseline
 /// LUNAR generalizes (Section 5.1).
 class KnnDistanceDetector : public TabularModel {
  public:

@@ -1,10 +1,16 @@
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <map>
+#include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
 #include "construct/intrinsic.h"
 #include "construct/learned.h"
 #include "construct/rule_based.h"
@@ -281,6 +287,108 @@ TEST(LearnedTest, KnnCandidatesSymmetricNoSelf) {
 TEST(LearnedTest, FullCandidatesCount) {
   CandidateEdges e = FullCandidates(4);
   EXPECT_EQ(e.src.size(), 12u);
+}
+
+// --- kNN construction across thread counts ---------------------------------
+
+// 3000 x 12: rows below 1500 are 125 distinct rows repeated 12 times
+// (interleaved), so every one of their neighbour lists ends inside a run of
+// 11 exact ties at rank k = 10; the rest are distinct random rows. Large
+// enough that the row scan splits into many chunks at 2 and 4 threads.
+Matrix TiedTable() {
+  Rng rng(21);
+  Matrix base = Matrix::Randn(125, 12, rng);
+  Matrix x = Matrix::Randn(3000, 12, rng);
+  for (size_t i = 0; i < 1500; ++i)
+    std::copy(base.row_data(i % 125), base.row_data(i % 125) + 12,
+              x.row_data(i));
+  return x;
+}
+
+uint64_t Bits(double v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+// (src, dst, weight bits) of every stored edge, in CSR order.
+std::vector<std::tuple<size_t, size_t, uint64_t>> EdgeBits(const Graph& g) {
+  std::vector<std::tuple<size_t, size_t, uint64_t>> out;
+  for (const Edge& e : g.EdgeList())
+    out.emplace_back(e.src, e.dst, Bits(e.weight));
+  return out;
+}
+
+// The serial oracle: one TopKSimilar call per row on the calling thread.
+std::vector<std::vector<KnnHit>> SerialLists(const Matrix& x, size_t k,
+                                             SimilarityMetric m, double gamma) {
+  std::vector<std::vector<KnnHit>> lists;
+  for (size_t i = 0; i < x.rows(); ++i)
+    lists.push_back(TopKSimilar(x, x.row_data(i), k, m, gamma, /*exclude=*/i));
+  return lists;
+}
+
+bool Contains(const std::vector<KnnHit>& hits, size_t j) {
+  return std::any_of(hits.begin(), hits.end(),
+                     [j](const KnnHit& h) { return h.index == j; });
+}
+
+TEST(KnnThreadCountTest, GraphsAndCandidatesAreBitExactAtEveryThreadCount) {
+  const Matrix x = TiedTable();
+  const size_t k = 10;
+  const double gamma = 0.05;
+  const KnnGraphOptions mutual_rbf = {.k = k,
+                                      .metric = SimilarityMetric::kRbf,
+                                      .gamma = gamma,
+                                      .mutual = true,
+                                      .weighted = true};
+  const KnnGraphOptions union_euclid = {.k = k, .weighted = true};
+
+  // Oracle edge sets, keyed (src, dst) so iteration is CSR order.
+  std::map<std::pair<size_t, size_t>, double> want_mutual, want_union;
+  const auto rbf = SerialLists(x, k, SimilarityMetric::kRbf, gamma);
+  for (size_t i = 0; i < x.rows(); ++i)
+    for (const KnnHit& h : rbf[i])
+      if (h.index > i && Contains(rbf[h.index], i)) {
+        const double w = std::max(h.similarity, 1e-6);
+        want_mutual[{i, h.index}] = w;
+        want_mutual[{h.index, i}] = w;
+      }
+  const auto euclid = SerialLists(x, k, SimilarityMetric::kEuclidean, 1.0);
+  std::set<std::pair<size_t, size_t>> want_pairs;
+  for (size_t i = 0; i < x.rows(); ++i)
+    for (const KnnHit& h : euclid[i]) {
+      // Both directions of a pair carry the same distance, so the max is
+      // either one.
+      const double w = std::exp(h.similarity);
+      want_union[{i, h.index}] = w;
+      want_union[{h.index, i}] = w;
+      want_pairs.insert(std::minmax(i, h.index));
+    }
+  std::vector<std::tuple<size_t, size_t, uint64_t>> mutual_bits, union_bits;
+  for (const auto& [e, w] : want_mutual)
+    mutual_bits.emplace_back(e.first, e.second, Bits(w));
+  for (const auto& [e, w] : want_union)
+    union_bits.emplace_back(e.first, e.second, Bits(w));
+  CandidateEdges want_cand;
+  for (const auto& [a, b] : want_pairs) {
+    want_cand.src.insert(want_cand.src.end(), {a, b});
+    want_cand.dst.insert(want_cand.dst.end(), {b, a});
+  }
+  ASSERT_FALSE(mutual_bits.empty());
+
+  const size_t restore = ThreadPool::Global().num_threads();
+  for (size_t threads : {1, 2, 4}) {
+    ThreadPool::Global().SetNumThreads(threads);
+    const Graph mutual = KnnGraph(x, mutual_rbf);
+    const Graph uni = KnnGraph(x, union_euclid);
+    const CandidateEdges cand = KnnCandidates(x, k);
+    ThreadPool::Global().SetNumThreads(restore);
+    EXPECT_TRUE(EdgeBits(mutual) == mutual_bits) << threads << " threads";
+    EXPECT_TRUE(EdgeBits(uni) == union_bits) << threads << " threads";
+    EXPECT_EQ(cand.src, want_cand.src) << threads << " threads";
+    EXPECT_EQ(cand.dst, want_cand.dst) << threads << " threads";
+  }
 }
 
 TEST(LearnedTest, MetricLearnerWeightsInRange) {

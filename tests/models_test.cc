@@ -2,9 +2,14 @@
 // workload and beats the sanity bar (chance / a weak baseline). Kept small so
 // the whole suite stays fast.
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
+#include "data/transforms.h"
 #include "models/bipartite_imputer.h"
 #include "models/feature_graph.h"
 #include "models/gbdt.h"
@@ -137,6 +142,66 @@ TEST(KnnDistanceDetectorTest, ScoresOutliersHigher) {
   auto result = FitAndEvaluate(model, data, split, {});
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->auroc, 0.9);
+}
+
+TEST(KnnBaselineTest, TiedPoolRowsGoToTheLowerIndex) {
+  // Pool rows 0/1 tie at x = 1 and rows 2/3 at x = 3, each pair with
+  // opposite labels; with k = 1 the lower pool index casts the only vote.
+  TabularDataset data(6);
+  ASSERT_TRUE(data.AddNumericColumn("x", {1, 1, 3, 3, 1, 3}).ok());
+  ASSERT_TRUE(data.SetClassLabels({1, 0, 0, 1, 0, 0}, 2).ok());
+  Split split;
+  split.train = {0, 1, 2, 3};
+  KnnBaseline model({.k = 1});
+  ASSERT_TRUE(model.Fit(data, split).ok());
+  auto votes = model.Predict(data);
+  ASSERT_TRUE(votes.ok());
+  for (size_t r : {size_t{0}, size_t{1}, size_t{4}}) {
+    EXPECT_EQ((*votes)(r, 1), 1.0) << "row " << r;
+    EXPECT_EQ((*votes)(r, 0), 0.0) << "row " << r;
+  }
+  for (size_t r : {size_t{2}, size_t{3}, size_t{5}}) {
+    EXPECT_EQ((*votes)(r, 0), 1.0) << "row " << r;
+    EXPECT_EQ((*votes)(r, 1), 0.0) << "row " << r;
+  }
+}
+
+TEST(KnnDistanceDetectorTest, ScoresMatchBruteForceMeanDistance) {
+  // Oracle: every row's Euclidean distances to the other rows, ascending,
+  // averaged over the first k. Duplicated rows put exact ties at distance 0.
+  TabularDataset data = MakeAnomalyData({.num_inliers = 50,
+                                         .num_outliers = 6});
+  TabularDataset dup(data.NumRows() + 4);
+  for (size_t c = 0; c < data.NumCols(); ++c) {
+    std::vector<double> v = data.column(c).numeric;
+    for (size_t r = 0; r < 4; ++r) v.push_back(v[r]);
+    ASSERT_TRUE(dup.AddNumericColumn(data.column(c).name, v).ok());
+  }
+  const size_t k = 5;
+  KnnDistanceDetector model({.k = k});
+  ASSERT_TRUE(model.Fit(dup, Split{}).ok());
+  auto scores = model.Predict(dup);
+  ASSERT_TRUE(scores.ok());
+
+  Featurizer featurizer;
+  auto x = featurizer.FitTransform(dup);
+  ASSERT_TRUE(x.ok());
+  for (size_t r = 0; r < x->rows(); ++r) {
+    std::vector<double> dist;
+    for (size_t j = 0; j < x->rows(); ++j) {
+      if (j == r) continue;
+      double s = 0.0;
+      for (size_t c = 0; c < x->cols(); ++c) {
+        double diff = (*x)(r, c) - (*x)(j, c);
+        s += diff * diff;
+      }
+      dist.push_back(std::sqrt(s));
+    }
+    std::sort(dist.begin(), dist.end());
+    double sum = 0.0;
+    for (size_t t = 0; t < k; ++t) sum += dist[t];
+    EXPECT_EQ((*scores)(r, 0), sum / static_cast<double>(k)) << "row " << r;
+  }
 }
 
 TEST(InstanceGraphGnnTest, KnnGcnLearnsClusters) {
