@@ -6,12 +6,12 @@
 //
 // Besides the google-benchmark complexity suite, the binary runs a thread
 // sweep (1/2/4/8 lanes) over the parallel hot-path kernels — dense matmul,
-// CSR SpMM, SpMM-transpose, edge softmax, kNN graph construction — and
-// writes BENCH_parallel.json
+// CSR SpMM, the one-time CSR transpose build, SpMM-transpose, edge softmax,
+// kNN graph construction — and writes BENCH_parallel.json
 // with wall-clock AND process-CPU time per point, plus the max deviation of
 // each multithreaded result from the threads=1 run (0 for the write-disjoint
-// kernels, ~1e-15 relative for the tree-reduced ones). num_cores in the
-// header says whether the wall-clock speedup column is meaningful on the
+// kernels, ~1e-15 relative for the tree-reduced edge softmax). num_cores in
+// the header says whether the wall-clock speedup column is meaningful on the
 // machine that produced the file.
 
 #include <benchmark/benchmark.h>
@@ -139,6 +139,18 @@ double MaxAbsDev(const Matrix& a, const Matrix& b) {
   return dev;
 }
 
+// Appends `point` to `sweep` with its speedup over the first point and its
+// deviation from the first point's result (which becomes `reference`).
+void AddPoint(KernelSweep* sweep, SweepPoint point, const Matrix& result,
+              Matrix* reference) {
+  if (reference->size() == 0) *reference = result;
+  point.max_abs_dev = MaxAbsDev(*reference, result);
+  point.speedup = sweep->points.empty()
+                      ? 1.0
+                      : sweep->points.front().wall_ms / point.wall_ms;
+  sweep->points.push_back(point);
+}
+
 // Times `kernel` at each thread count: one warm-up call, then best-of-`reps`
 // wall clock (CPU time taken from the same best repetition). The returned
 // matrix of every point is compared against the threads=1 result, making the
@@ -164,12 +176,46 @@ KernelSweep SweepKernel(const std::string& name,
         point.process_cpu_ms = timer.ProcessCpuMs();
       }
     }
-    if (reference.size() == 0) reference = result;
-    point.max_abs_dev = MaxAbsDev(reference, result);
-    point.speedup = sweep.points.empty()
-                        ? 1.0
-                        : sweep.points.front().wall_ms / point.wall_ms;
-    sweep.points.push_back(point);
+    AddPoint(&sweep, point, result, &reference);
+  }
+  return sweep;
+}
+
+// The one-time cost a new operator's first TransposeMultiply pays: building
+// the cached transpose (the spmm_transpose sweep's warm-up call absorbs it,
+// so that row is the steady-state product). Each repetition transposes a
+// fresh copy of the CSR arrays, copied outside the timer; the deviation
+// compares the transposed entries as (column, value) rows.
+KernelSweep SweepTransposeBuild(const std::string& name,
+                                const std::vector<size_t>& thread_counts,
+                                int reps, const SparseMatrix& adj) {
+  KernelSweep sweep;
+  sweep.name = name;
+  Matrix reference;
+  for (size_t t : thread_counts) {
+    ThreadPool::Global().SetNumThreads(t);
+    SweepPoint point;
+    point.threads = t;
+    point.wall_ms = 1e300;
+    SparseMatrix transposed;
+    for (int r = 0; r < reps; ++r) {
+      SparseMatrix fresh = SparseMatrix::FromCsr(
+          adj.rows(), adj.cols(), adj.row_ptr(), adj.col_idx(), adj.values());
+      bench::Timer timer;
+      SparseMatrix built = fresh.Transpose();
+      double wall = timer.WallMs();
+      if (wall < point.wall_ms) {
+        point.wall_ms = wall;
+        point.process_cpu_ms = timer.ProcessCpuMs();
+      }
+      transposed = built;
+    }
+    Matrix result(transposed.nnz(), 2);
+    for (size_t e = 0; e < transposed.nnz(); ++e) {
+      result(e, 0) = static_cast<double>(transposed.col_idx()[e]);
+      result(e, 1) = transposed.values()[e];
+    }
+    AddPoint(&sweep, point, result, &reference);
   }
   return sweep;
 }
@@ -243,6 +289,8 @@ void RunParallelSweep() {
                                [&] { return a.Matmul(b); }));
   sweeps.push_back(SweepKernel("spmm_20k_k10_d32", thread_counts, reps,
                                [&] { return adj.Multiply(h); }));
+  sweeps.push_back(
+      SweepTransposeBuild("csr_transpose_20k_k10", thread_counts, reps, adj));
   sweeps.push_back(SweepKernel("spmm_transpose_20k_k10_d32", thread_counts,
                                reps, [&] { return adj.TransposeMultiply(h); }));
   sweeps.push_back(SweepKernel("edge_softmax_200k", thread_counts, reps, [&] {

@@ -138,8 +138,8 @@ double ParallelReduceSum(size_t begin, size_t end, size_t grain,
 /// In-place pairwise tree combine of per-chunk partial accumulators:
 /// combine(parts[i], parts[i+stride]) folds the right element into the left,
 /// strides doubling, leaving the total in parts[0]. Deterministic for a fixed
-/// parts.size(). Used by accumulating kernels (SpMM-transpose, edge-softmax)
-/// whose partials are whole matrices or per-group arrays.
+/// parts.size(). Used by ParallelReduceSum and the edge-softmax kernels,
+/// whose partials are per-group arrays.
 template <typename T, typename Combine>
 void TreeCombine(std::vector<T>& parts, Combine&& combine) {
   for (size_t stride = 1; stride < parts.size(); stride *= 2) {

@@ -3,6 +3,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/text_format.h"
+
 namespace gnn4tdl {
 
 namespace {
@@ -14,10 +16,16 @@ Status WriteEdgeList(const Graph& g, std::ostream& out, bool with_edge_count) {
   out << kMagic << ' ' << g.num_nodes();
   if (with_edge_count) out << ' ' << g.num_edges();
   out << '\n';
-  std::streamsize old_precision = out.precision(17);
-  for (const Edge& e : g.EdgeList())
-    out << e.src << '\t' << e.dst << '\t' << e.weight << '\n';
-  out.precision(old_precision);
+  std::string block;
+  for (const Edge& e : g.EdgeList()) {
+    block += std::to_string(e.src);
+    block += '\t';
+    block += std::to_string(e.dst);
+    block += '\t';
+    AppendDouble(block, e.weight);
+    block += '\n';
+  }
+  out.write(block.data(), static_cast<std::streamsize>(block.size()));
   if (!out) return Status::IoError("write failure on edge list stream");
   return Status::OK();
 }

@@ -191,7 +191,6 @@ Tensor SpmmBiasAct(const SparseMatrix& sp, const Tensor& x, const Tensor& b,
   }
   CountFusion("spmm_bias_act", /*hit=*/true);
   TapeOpScope op_scope("SpmmBiasAct");
-  SparseMatrix sp_copy = sp;  // tape owns the operator, as in ops::SpMM
   Matrix out = sp.Multiply(x.value());
   if (b.defined()) AddRowInPlace(&out, b.value());
   ApplyActivation(&out, act, leaky_alpha);
@@ -200,12 +199,13 @@ Tensor SpmmBiasAct(const SparseMatrix& sp, const Tensor& x, const Tensor& b,
   if (b.defined()) parents.push_back(b);
   return Tensor::FromOp(
       std::move(out), std::move(parents),
-      [sp_copy, x, b, act, leaky_alpha, act_out](const Matrix& g) {
+      // Shares the operator's CSR storage, as in ops::SpMM.
+      [sp, x, b, act, leaky_alpha, act_out](const Matrix& g) {
         Matrix ga = g;
         MaskActivationGrad(&ga, act_out, act, leaky_alpha);
         if (b.defined() && b.requires_grad()) b.AccumulateGrad(ga.ColSum());
         if (x.requires_grad())
-          x.AccumulateGrad(sp_copy.TransposeMultiply(ga));
+          x.AccumulateGrad(sp.TransposeMultiply(ga));
       });
 }
 

@@ -329,13 +329,13 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
 Tensor SpMM(const SparseMatrix& sp, const Tensor& x) {
   TapeOpScope op_scope("SpMM");
   GNN4TDL_CHECK_EQ(sp.cols(), x.rows());
-  // Copy the sparse operator into the closure so the tape owns it; CSR copies
-  // are cheap relative to training and this removes lifetime hazards.
-  SparseMatrix sp_copy = sp;
+  // The closure holds its own handle on the operator's shared CSR storage
+  // (a reference count, not an array copy), so the tape outlives `sp`, and
+  // every backward reuses the storage's cached transpose.
   return Tensor::FromOp(sp.Multiply(x.value()), {x},
-                        [sp_copy, x](const Matrix& g) {
+                        [sp, x](const Matrix& g) {
                           if (x.requires_grad())
-                            x.AccumulateGrad(sp_copy.TransposeMultiply(g));
+                            x.AccumulateGrad(sp.TransposeMultiply(g));
                         });
 }
 
@@ -353,8 +353,9 @@ Tensor WeightedSpMM(const Tensor& weights, const Tensor& x,
   GNN4TDL_CHECK_EQ(dst.size(), num_edges);
   GNN4TDL_CHECK_EQ(x.rows(), pattern.cols());
 
-  // Stamp the current edge weights into the fixed sparsity pattern; the copy
-  // is then owned by the tape closure (the backward pass needs A^T).
+  // Stamp the current edge weights into the fixed sparsity pattern:
+  // mutable_values() gives `a` its own copy of the arrays, which the tape
+  // closure then shares (the backward pass needs A^T).
   SparseMatrix a = pattern;
   std::vector<double>& values = a.mutable_values();
   const Matrix& w = weights.value();

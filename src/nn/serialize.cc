@@ -5,6 +5,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/text_format.h"
+
 namespace gnn4tdl {
 
 namespace {
@@ -15,20 +17,20 @@ Status SaveParameters(const Module& module, std::ostream& out) {
   if (!out) return Status::IoError("parameter output stream is not writable");
 
   std::vector<Tensor> params = module.Parameters();
-  out << kMagic << '\n' << params.size() << '\n';
-  std::streamsize old_precision = out.precision(17);
+  std::string block = std::string(kMagic) + '\n' +
+                      std::to_string(params.size()) + '\n';
   for (const Tensor& p : params) {
-    out << p.rows() << ' ' << p.cols() << '\n';
+    block += std::to_string(p.rows()) + ' ' + std::to_string(p.cols()) + '\n';
     const Matrix& m = p.value();
     for (size_t r = 0; r < m.rows(); ++r) {
       for (size_t c = 0; c < m.cols(); ++c) {
-        if (c > 0) out << ' ';
-        out << m(r, c);
+        if (c > 0) block += ' ';
+        AppendDouble(block, m(r, c));
       }
-      out << '\n';
+      block += '\n';
     }
   }
-  out.precision(old_precision);
+  out.write(block.data(), static_cast<std::streamsize>(block.size()));
   if (!out) return Status::IoError("write failure on parameter stream");
   return Status::OK();
 }

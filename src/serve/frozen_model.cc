@@ -6,6 +6,7 @@
 #include <ostream>
 #include <string>
 
+#include "common/text_format.h"
 #include "graph/graph_io.h"
 #include "obs/metrics.h"
 #include "obs/warn.h"
@@ -119,15 +120,17 @@ Status FrozenModel::Save(const InstanceGraphGnn& model, std::ostream& out,
       WriteEdgeList(model.graph(), out, /*with_edge_count=*/true));
 
   const Matrix& x = model.feature_cache();
-  old_precision = out.precision(17);
-  out << "features " << x.rows() << ' ' << x.cols() << '\n';
+  std::string block = "features " + std::to_string(x.rows()) + ' ' +
+                      std::to_string(x.cols()) + '\n';
+  block.reserve(block.size() + 25 * x.size());  // at most 24 chars + separator
   for (size_t i = 0; i < x.rows(); ++i) {
     const double* row = x.row_data(i);
     for (size_t j = 0; j < x.cols(); ++j) {
-      out << row[j] << (j + 1 < x.cols() ? ' ' : '\n');
+      AppendDouble(block, row[j]);
+      block += j + 1 < x.cols() ? ' ' : '\n';
     }
   }
-  out.precision(old_precision);
+  out.write(block.data(), static_cast<std::streamsize>(block.size()));
 
   GNN4TDL_RETURN_IF_ERROR(model.SaveTrainedParameters(out));
   if (!out) return Status::IoError("write failure on frozen model stream");

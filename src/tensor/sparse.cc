@@ -24,6 +24,10 @@ size_t SpmmRowGrain(size_t nnz, size_t rows, size_t dense_cols) {
 
 }  // namespace
 
+SparseMatrix::SparseMatrix() : csr_(std::make_shared<Csr>()) {
+  csr_->row_ptr.assign(1, 0);
+}
+
 SparseMatrix SparseMatrix::FromTriplets(size_t rows, size_t cols,
                                         std::vector<Triplet> triplets) {
   for (const Triplet& t : triplets) {
@@ -35,12 +39,12 @@ SparseMatrix SparseMatrix::FromTriplets(size_t rows, size_t cols,
               return a.row != b.row ? a.row < b.row : a.col < b.col;
             });
 
-  SparseMatrix m;
-  m.rows_ = rows;
-  m.cols_ = cols;
-  m.row_ptr_.assign(rows + 1, 0);
-  m.col_idx_.reserve(triplets.size());
-  m.values_.reserve(triplets.size());
+  auto m = std::make_shared<Csr>();
+  m->rows = rows;
+  m->cols = cols;
+  m->row_ptr.assign(rows + 1, 0);
+  m->col_idx.reserve(triplets.size());
+  m->values.reserve(triplets.size());
 
   for (size_t i = 0; i < triplets.size();) {
     size_t j = i;
@@ -50,13 +54,13 @@ SparseMatrix SparseMatrix::FromTriplets(size_t rows, size_t cols,
       sum += triplets[j].value;
       ++j;
     }
-    m.col_idx_.push_back(triplets[i].col);
-    m.values_.push_back(sum);
-    m.row_ptr_[triplets[i].row + 1]++;
+    m->col_idx.push_back(triplets[i].col);
+    m->values.push_back(sum);
+    m->row_ptr[triplets[i].row + 1]++;
     i = j;
   }
-  for (size_t r = 0; r < rows; ++r) m.row_ptr_[r + 1] += m.row_ptr_[r];
-  return m;
+  for (size_t r = 0; r < rows; ++r) m->row_ptr[r + 1] += m->row_ptr[r];
+  return SparseMatrix(std::move(m));
 }
 
 SparseMatrix SparseMatrix::FromCsr(size_t rows, size_t cols,
@@ -66,32 +70,79 @@ SparseMatrix SparseMatrix::FromCsr(size_t rows, size_t cols,
   GNN4TDL_CHECK_EQ(row_ptr.size(), rows + 1);
   GNN4TDL_CHECK_EQ(col_idx.size(), values.size());
   GNN4TDL_CHECK_EQ(row_ptr.back(), col_idx.size());
-  SparseMatrix m;
-  m.rows_ = rows;
-  m.cols_ = cols;
-  m.row_ptr_ = std::move(row_ptr);
-  m.col_idx_ = std::move(col_idx);
-  m.values_ = std::move(values);
-  return m;
+  auto m = std::make_shared<Csr>();
+  m->rows = rows;
+  m->cols = cols;
+  m->row_ptr = std::move(row_ptr);
+  m->col_idx = std::move(col_idx);
+  m->values = std::move(values);
+  return SparseMatrix(std::move(m));
 }
 
-Matrix SparseMatrix::Multiply(const Matrix& dense) const {
-  GNN4TDL_CHECK_EQ(cols_, dense.rows());
-  Matrix out(rows_, dense.cols());
+std::vector<double>& SparseMatrix::mutable_values() {
+  // With one owner no other thread can reach the storage, so reading
+  // `transpose` needs no synchronisation.
+  if (csr_.use_count() != 1 || csr_->transpose != nullptr) {
+    auto copy = std::make_shared<Csr>();
+    copy->rows = csr_->rows;
+    copy->cols = csr_->cols;
+    copy->row_ptr = csr_->row_ptr;
+    copy->col_idx = csr_->col_idx;
+    copy->values = csr_->values;
+    csr_ = std::move(copy);
+  }
+  return csr_->values;
+}
+
+const std::shared_ptr<SparseMatrix::Csr>& SparseMatrix::Transposed() const {
+  Csr& a = *csr_;
+  std::call_once(a.transpose_once, [&a] {
+    // Stable counting sort of the entries by column: one pass counts each
+    // column, a prefix sum turns counts into row starts of the transpose,
+    // and a second pass in (row, position) order drops every entry into its
+    // column's next slot — so each transposed row lists its source rows in
+    // ascending order, duplicates kept in their original order.
+    auto t = std::make_shared<Csr>();
+    t->rows = a.cols;
+    t->cols = a.rows;
+    t->row_ptr.assign(a.cols + 1, 0);
+    for (size_t c : a.col_idx) ++t->row_ptr[c + 1];
+    for (size_t c = 0; c < a.cols; ++c) t->row_ptr[c + 1] += t->row_ptr[c];
+    t->col_idx.resize(a.col_idx.size());
+    t->values.resize(a.values.size());
+    std::vector<size_t> next(t->row_ptr.begin(), t->row_ptr.end() - 1);
+    for (size_t r = 0; r < a.rows; ++r) {
+      for (size_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k) {
+        const size_t slot = next[a.col_idx[k]]++;
+        t->col_idx[slot] = r;
+        t->values[slot] = a.values[k];
+      }
+    }
+    a.transpose = std::move(t);
+  });
+  return a.transpose;
+}
+
+// out = a * dense. CSR rows are independent: parallel over output-row
+// blocks, each row accumulating in serial k-order — bit-exact for every
+// thread count.
+Matrix SparseMatrix::RowSpmm(const char* kernel_name, const Csr& a,
+                             const Matrix& dense) {
+  GNN4TDL_CHECK_EQ(a.cols, dense.rows());
+  Matrix out(a.rows, dense.cols());
   const size_t n = dense.cols();
+  const size_t nnz = a.col_idx.size();
   obs::KernelScope kernel(
-      "spmm", 2.0 * static_cast<double>(nnz()) * n,
-      8.0 * (static_cast<double>(nnz()) * (n + 2) +
-             static_cast<double>(rows_) * n));
-  // CSR rows are independent: parallel over output-row blocks, each row
-  // accumulating in serial k-order — bit-exact for every thread count.
-  ParallelFor(0, rows_, SpmmRowGrain(nnz(), rows_, n),
+      kernel_name, 2.0 * static_cast<double>(nnz) * n,
+      8.0 * (static_cast<double>(nnz) * (n + 2) +
+             static_cast<double>(a.rows) * n));
+  ParallelFor(0, a.rows, SpmmRowGrain(nnz, a.rows, n),
               [&](size_t lo, size_t hi) {
     for (size_t r = lo; r < hi; ++r) {
       double* out_row = out.row_data(r);
-      for (size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-        const double v = values_[k];
-        const double* d_row = dense.row_data(col_idx_[k]);
+      for (size_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k) {
+        const double v = a.values[k];
+        const double* d_row = dense.row_data(a.col_idx[k]);
         for (size_t j = 0; j < n; ++j) out_row[j] += v * d_row[j];
       }
     }
@@ -99,71 +150,27 @@ Matrix SparseMatrix::Multiply(const Matrix& dense) const {
   return out;
 }
 
+Matrix SparseMatrix::Multiply(const Matrix& dense) const {
+  return RowSpmm("spmm", *csr_, dense);
+}
+
 Matrix SparseMatrix::TransposeMultiply(const Matrix& dense) const {
-  GNN4TDL_CHECK_EQ(rows_, dense.rows());
-  const size_t n = dense.cols();
-  obs::KernelScope kernel(
-      "spmm_t", 2.0 * static_cast<double>(nnz()) * n,
-      8.0 * (static_cast<double>(nnz()) * (n + 2) +
-             static_cast<double>(cols_) * n));
-  // The transpose product scatters into out.row(col_idx), so input rows
-  // cannot be split across threads without racing. Instead each chunk of
-  // input rows accumulates into its own zeroed partial output, and the
-  // partials are folded by a fixed pairwise tree: deterministic for a fixed
-  // thread count (chunk boundaries depend only on the pool size), and
-  // identical to the serial kernel whenever one chunk suffices. Partials are
-  // capped at one per pool lane to bound memory at threads * sizeof(out).
-  std::vector<Range> ranges =
-      PartitionRange(0, rows_, SpmmRowGrain(nnz(), rows_, n),
-                     ThreadPool::Global().num_threads());
-  if (ranges.size() <= 1) {
-    Matrix out(cols_, n);
-    for (size_t r = 0; r < rows_; ++r) {
-      const double* d_row = dense.row_data(r);
-      for (size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-        const double v = values_[k];
-        double* out_row = out.row_data(col_idx_[k]);
-        for (size_t j = 0; j < n; ++j) out_row[j] += v * d_row[j];
-      }
-    }
-    return out;
-  }
-  std::vector<Matrix> partials(ranges.size());
-  ThreadPool::Global().Run(ranges.size(), [&](size_t c) {
-    Matrix part(cols_, n);
-    for (size_t r = ranges[c].begin; r < ranges[c].end; ++r) {
-      const double* d_row = dense.row_data(r);
-      for (size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-        const double v = values_[k];
-        double* out_row = part.row_data(col_idx_[k]);
-        for (size_t j = 0; j < n; ++j) out_row[j] += v * d_row[j];
-      }
-    }
-    partials[c] = std::move(part);
-  });
-  TreeCombine(partials, [](Matrix& into, const Matrix& from) {
-    double* a = into.data();
-    const double* b = from.data();
-    const size_t sz = into.size();
-    for (size_t i = 0; i < sz; ++i) a[i] += b[i];
-  });
-  return std::move(partials[0]);
+  // Row c of the transpose lists the entries of column c in ascending
+  // source-row order, so out(c, :) sums the same products in the same order
+  // as a serial scatter over the rows of this matrix.
+  return RowSpmm("spmm_t", *Transposed(), dense);
 }
 
 SparseMatrix SparseMatrix::Transpose() const {
-  std::vector<Triplet> triplets;
-  triplets.reserve(nnz());
-  for (size_t r = 0; r < rows_; ++r)
-    for (size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k)
-      triplets.push_back({col_idx_[k], r, values_[k]});
-  return FromTriplets(cols_, rows_, std::move(triplets));
+  return SparseMatrix(Transposed());
 }
 
 Matrix SparseMatrix::ToDense() const {
-  Matrix out(rows_, cols_);
-  for (size_t r = 0; r < rows_; ++r)
-    for (size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k)
-      out(r, col_idx_[k]) += values_[k];
+  const Csr& a = *csr_;
+  Matrix out(a.rows, a.cols);
+  for (size_t r = 0; r < a.rows; ++r)
+    for (size_t k = a.row_ptr[r]; k < a.row_ptr[r + 1]; ++k)
+      out(r, a.col_idx[k]) += a.values[k];
   return out;
 }
 
@@ -270,13 +277,14 @@ Matrix SegmentSoftmaxBackward(const Matrix& softmax, const Matrix& grad,
 }
 
 double SparseMatrix::At(size_t row, size_t col) const {
-  GNN4TDL_CHECK_LT(row, rows_);
-  GNN4TDL_CHECK_LT(col, cols_);
-  auto begin = col_idx_.begin() + static_cast<ptrdiff_t>(row_ptr_[row]);
-  auto end = col_idx_.begin() + static_cast<ptrdiff_t>(row_ptr_[row + 1]);
+  const Csr& a = *csr_;
+  GNN4TDL_CHECK_LT(row, a.rows);
+  GNN4TDL_CHECK_LT(col, a.cols);
+  auto begin = a.col_idx.begin() + static_cast<ptrdiff_t>(a.row_ptr[row]);
+  auto end = a.col_idx.begin() + static_cast<ptrdiff_t>(a.row_ptr[row + 1]);
   auto it = std::lower_bound(begin, end, col);
   if (it == end || *it != col) return 0.0;
-  return values_[static_cast<size_t>(it - col_idx_.begin())];
+  return a.values[static_cast<size_t>(it - a.col_idx.begin())];
 }
 
 }  // namespace gnn4tdl

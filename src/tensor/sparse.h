@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "tensor/matrix.h"
@@ -19,10 +21,20 @@ struct Triplet {
 /// message-passing operator of the library: normalized adjacency matrices,
 /// bipartite incidence blocks, and hypergraph incidences are all stored as
 /// SparseMatrix and applied to dense feature matrices via Multiply().
+///
+/// The CSR arrays live in shared, immutable storage: copying a SparseMatrix
+/// (into a tape closure, say) bumps a reference count instead of copying the
+/// arrays, and every copy sees the same transpose, which the storage builds
+/// once on first use (TransposeMultiply, Transpose) and keeps.
 class SparseMatrix {
  public:
   /// Empty 0x0 matrix.
-  SparseMatrix() : rows_(0), cols_(0), row_ptr_(1, 0) {}
+  SparseMatrix();
+
+  // No move operations: a moved-from operator would have no storage, and a
+  // copy costs only a reference-count bump.
+  SparseMatrix(const SparseMatrix&) = default;
+  SparseMatrix& operator=(const SparseMatrix&) = default;
 
   /// Builds from triplets. Duplicate (row, col) entries are summed. Column
   /// indices within each row are sorted ascending.
@@ -35,22 +47,32 @@ class SparseMatrix {
                               std::vector<size_t> col_idx,
                               std::vector<double> values);
 
-  size_t rows() const { return rows_; }
-  size_t cols() const { return cols_; }
-  size_t nnz() const { return col_idx_.size(); }
+  size_t rows() const { return csr_->rows; }
+  size_t cols() const { return csr_->cols; }
+  size_t nnz() const { return csr_->col_idx.size(); }
 
-  const std::vector<size_t>& row_ptr() const { return row_ptr_; }
-  const std::vector<size_t>& col_idx() const { return col_idx_; }
-  const std::vector<double>& values() const { return values_; }
-  std::vector<double>& mutable_values() { return values_; }
+  const std::vector<size_t>& row_ptr() const { return csr_->row_ptr; }
+  const std::vector<size_t>& col_idx() const { return csr_->col_idx; }
+  const std::vector<double>& values() const { return csr_->values; }
+
+  /// Writable values with the same sparsity pattern. Copies the CSR arrays
+  /// first (copy on write) unless this matrix is their only owner and no
+  /// transpose has been built from them, so other copies and the cached
+  /// transpose never see the write.
+  std::vector<double>& mutable_values();
 
   /// Sparse-dense product: (this) * dense, dense has cols() rows.
   Matrix Multiply(const Matrix& dense) const;
 
-  /// Transposed product: (this)^T * dense, dense has rows() rows.
+  /// Transposed product: (this)^T * dense, dense has rows() rows. Runs
+  /// Multiply's output-row-parallel loop over the cached transpose, so each
+  /// output element adds its products in ascending input-row order — the
+  /// serial scatter's order — and the result is bit-exact at every thread
+  /// count.
   Matrix TransposeMultiply(const Matrix& dense) const;
 
-  /// Transposed copy (CSR of the transpose).
+  /// The transpose, sharing the cached transposed storage. Duplicate entries
+  /// are kept (not summed), in their original order.
   SparseMatrix Transpose() const;
 
   /// Dense copy (tests / small matrices only).
@@ -61,16 +83,32 @@ class SparseMatrix {
 
   /// Number of stored entries in `row`.
   size_t RowNnz(size_t row) const {
-    GNN4TDL_CHECK_LT(row, rows_);
-    return row_ptr_[row + 1] - row_ptr_[row];
+    GNN4TDL_CHECK_LT(row, rows());
+    return csr_->row_ptr[row + 1] - csr_->row_ptr[row];
   }
 
  private:
-  size_t rows_;
-  size_t cols_;
-  std::vector<size_t> row_ptr_;
-  std::vector<size_t> col_idx_;
-  std::vector<double> values_;
+  struct Csr {
+    size_t rows = 0;
+    size_t cols = 0;
+    std::vector<size_t> row_ptr;
+    std::vector<size_t> col_idx;
+    std::vector<double> values;
+    // Built once, on first use, by Transposed(); never modified after.
+    std::once_flag transpose_once;
+    std::shared_ptr<Csr> transpose;
+  };
+
+  explicit SparseMatrix(std::shared_ptr<Csr> csr) : csr_(std::move(csr)) {}
+
+  // The cached transpose of csr_, built on the first call (thread-safe).
+  const std::shared_ptr<Csr>& Transposed() const;
+
+  // out = a * dense over output-row blocks of the thread pool.
+  static Matrix RowSpmm(const char* kernel_name, const Csr& a,
+                        const Matrix& dense);
+
+  std::shared_ptr<Csr> csr_;
 };
 
 /// Segment (edge) softmax: given per-edge logits (e x 1) and each edge's

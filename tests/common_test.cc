@@ -1,12 +1,16 @@
 #include "common/status.h"
 
 #include <algorithm>
+#include <cfloat>
+#include <limits>
 #include <set>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "common/text_format.h"
 #include "tensor/matrix.h"
 
 namespace gnn4tdl {
@@ -146,6 +150,21 @@ TEST(CheckDeathTest, MatrixBoundsChecked) {
   Matrix m(2, 2);
   EXPECT_DEATH(m(2, 0), "GNN4TDL_CHECK failed");
   EXPECT_DEATH(m(0, 5), "GNN4TDL_CHECK failed");
+}
+
+TEST(TextFormatTest, AppendDoubleMatchesStreamAtPrecision17) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double values[] = {0.0,     -0.0,     5e-324, DBL_MAX, 0.1,
+                           1.0 / 3, 3.0,      1e21,   1e-5,    inf,
+                           -inf,    std::numeric_limits<double>::quiet_NaN()};
+  for (double v : values) {
+    std::ostringstream stream;
+    stream.precision(17);
+    stream << v;
+    std::string text = "x";
+    AppendDouble(text, v);
+    EXPECT_EQ(text, "x" + stream.str()) << "value " << stream.str();
+  }
 }
 
 }  // namespace

@@ -230,17 +230,74 @@ TEST(KernelDeterminismTest, SpmmBitExactAcrossThreadCounts) {
   PoolSizeGuard guard;
   SparseMatrix adj = RandomCsr(400, 400, 6, 3);
   Matrix h = RandomDense(400, 16, 4);
+  Matrix g = RandomDense(400, 16, 5);
   ThreadPool::Global().SetNumThreads(1);
   Matrix serial = adj.Multiply(h);
+  Matrix serial_t = adj.TransposeMultiply(g);
   ThreadPool::Global().SetNumThreads(4);
   Matrix parallel = adj.Multiply(h);
+  Matrix parallel_t = adj.TransposeMultiply(g);
   for (size_t i = 0; i < serial.size(); ++i)
     ASSERT_EQ(serial.data()[i], parallel.data()[i]);
+  for (size_t i = 0; i < serial_t.size(); ++i)
+    ASSERT_EQ(serial_t.data()[i], parallel_t.data()[i]);
+}
+
+// The backward SpMM against the serial scatter it replaced: for each input
+// row r in order, out(col, :) += value * g(r, :). The operator is rectangular
+// and built straight from CSR arrays with duplicate (row, col) entries,
+// unsorted columns and empty rows, and is large enough that the transpose's
+// 500 output rows split into several chunks at 2 and 4 threads.
+TEST(KernelDeterminismTest, TransposeMultiplyMatchesSerialScatterBitForBit) {
+  PoolSizeGuard guard;
+  const size_t rows = 3000, cols = 500, d = 16;
+  Rng rng(21);
+  std::vector<size_t> row_ptr{0}, col_idx;
+  std::vector<double> values;
+  for (size_t r = 0; r < rows; ++r) {
+    if (r % 7 == 3) {  // empty row
+      row_ptr.push_back(col_idx.size());
+      continue;
+    }
+    const size_t count = static_cast<size_t>(rng.Int(1, 12));
+    for (size_t j = 0; j < count; ++j) {
+      // Descending-then-random columns: unsorted within the row.
+      const size_t c =
+          j < 2 ? cols - 1 - (2 * r + j) % cols
+                : static_cast<size_t>(
+                      rng.Int(0, static_cast<int64_t>(cols) - 1));
+      col_idx.push_back(c);
+      values.push_back(rng.Uniform(-1.0, 1.0));
+      if (j == 3) {  // a duplicate of the entry just written
+        col_idx.push_back(c);
+        values.push_back(rng.Uniform(-1.0, 1.0));
+      }
+    }
+    row_ptr.push_back(col_idx.size());
+  }
+  SparseMatrix adj = SparseMatrix::FromCsr(rows, cols, row_ptr, col_idx,
+                                           values);
+  Matrix g = RandomDense(rows, d, 22);
+
+  Matrix oracle(cols, d);
+  for (size_t r = 0; r < rows; ++r)
+    for (size_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k)
+      for (size_t j = 0; j < d; ++j)
+        oracle(col_idx[k], j) += values[k] * g(r, j);
+
+  for (size_t threads : {1, 2, 4}) {
+    ThreadPool::Global().SetNumThreads(threads);
+    Matrix out = adj.TransposeMultiply(g);
+    ASSERT_EQ(out.rows(), cols);
+    ASSERT_EQ(out.cols(), d);
+    for (size_t i = 0; i < oracle.size(); ++i)
+      ASSERT_EQ(out.data()[i], oracle.data()[i])
+          << "threads " << threads << " element " << i;
+  }
 }
 
 TEST(KernelDeterminismTest, TreeReducedKernelsWithin1e12OfSerial) {
   PoolSizeGuard guard;
-  SparseMatrix adj = RandomCsr(400, 300, 6, 5);
   Matrix h = RandomDense(400, 16, 6);
   Matrix logits = RandomDense(500, 1, 7);
   std::vector<size_t> seg(500);
@@ -248,25 +305,22 @@ TEST(KernelDeterminismTest, TreeReducedKernelsWithin1e12OfSerial) {
   for (size_t& s : seg) s = static_cast<size_t>(seg_rng.Int(0, 49));
 
   ThreadPool::Global().SetNumThreads(1);
-  Matrix spmm_t_serial = adj.TransposeMultiply(h);
   double sum_serial = h.Sum();
   Matrix softmax_serial = SegmentSoftmax(logits, seg, 50);
 
   ThreadPool::Global().SetNumThreads(4);
-  Matrix spmm_t_parallel = adj.TransposeMultiply(h);
   double sum_parallel = h.Sum();
   Matrix softmax_parallel = SegmentSoftmax(logits, seg, 50);
 
-  for (size_t i = 0; i < spmm_t_serial.size(); ++i)
-    ASSERT_NEAR(spmm_t_serial.data()[i], spmm_t_parallel.data()[i], 1e-12);
   EXPECT_NEAR(sum_serial, sum_parallel, 1e-12);
   for (size_t i = 0; i < softmax_serial.size(); ++i)
     ASSERT_NEAR(softmax_serial.data()[i], softmax_parallel.data()[i], 1e-12);
 
   // And for a fixed thread count the tree-reduced kernels are bit-stable.
-  Matrix spmm_t_again = adj.TransposeMultiply(h);
-  for (size_t i = 0; i < spmm_t_parallel.size(); ++i)
-    ASSERT_EQ(spmm_t_parallel.data()[i], spmm_t_again.data()[i]);
+  Matrix softmax_again = SegmentSoftmax(logits, seg, 50);
+  EXPECT_EQ(h.Sum(), sum_parallel);
+  for (size_t i = 0; i < softmax_parallel.size(); ++i)
+    ASSERT_EQ(softmax_parallel.data()[i], softmax_again.data()[i]);
 }
 
 TEST(KernelDeterminismTest, EdgeSoftmaxGradientMatchesSerial) {

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parallel.h"
 #include "construct/similarity.h"
 #include "data/split.h"
 #include "data/synthetic.h"
@@ -413,6 +414,56 @@ TEST_F(ServeModelTest, ArtifactFileRoundTrip) {
   EXPECT_TRUE(
       frozen->model().feature_cache().AllClose(model.feature_cache(), 0.0));
   std::remove(path.c_str());
+}
+
+TEST_F(ServeModelTest, SaveLoadSaveIsByteIdentical) {
+  TabularDataset data = TrainData();
+  InstanceGraphGnn model(Options(GnnBackbone::kGcn));
+  ASSERT_TRUE(model.Fit(data, TrainSplit(data)).ok());
+
+  std::stringstream first;
+  ASSERT_TRUE(FrozenModel::Save(model, first).ok());
+  const std::string saved = first.str();
+  StatusOr<FrozenModel> frozen = FrozenModel::Load(first);
+  ASSERT_TRUE(frozen.ok()) << frozen.status().ToString();
+  std::stringstream second;
+  ASSERT_TRUE(FrozenModel::Save(frozen->model(), second).ok());
+  EXPECT_EQ(second.str(), saved);
+}
+
+// Training is bit-exact at every thread count, so the saved artifact is too.
+// 2000 rows at k=10 make the backward SpMM split into several chunks at four
+// threads.
+TEST(TrainThreadCountTest, ArtifactBytesEqualAtOneAndFourThreads) {
+  TabularDataset data = MakeClusters({.num_rows = 2000,
+                                      .num_classes = 3,
+                                      .dim_informative = 8,
+                                      .dim_noise = 4,
+                                      .seed = 5});
+  Rng split_rng(6);
+  Split split = StratifiedSplit(data.class_labels(), 0.7, 0.15, split_rng);
+  InstanceGraphGnnOptions options;
+  options.backbone = GnnBackbone::kGcn;
+  options.hidden_dim = 32;
+  options.num_layers = 2;
+  options.knn.k = 10;
+  options.train.max_epochs = 4;
+  options.train.verbose = false;
+  options.seed = 8;
+
+  auto fit_and_save = [&](size_t threads) {
+    ThreadPool::Global().SetNumThreads(threads);
+    InstanceGraphGnn model(options);
+    EXPECT_TRUE(model.Fit(data, split).ok());
+    std::stringstream artifact;
+    EXPECT_TRUE(FrozenModel::Save(model, artifact).ok());
+    return artifact.str();
+  };
+  const std::string one = fit_and_save(1);
+  const std::string four = fit_and_save(4);
+  ThreadPool::Global().SetNumThreads(ThreadCountFromEnv());
+  EXPECT_EQ(one.size(), four.size());
+  EXPECT_TRUE(one == four) << "artifacts differ at 1 and 4 threads";
 }
 
 TEST_F(ServeModelTest, SaveRejectsUnfittedAndIdentityInit) {
